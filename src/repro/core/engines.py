@@ -13,6 +13,7 @@ from __future__ import annotations
 import typing
 
 from repro.compression.model import FPGA_ENGINE, CompressorProfile
+from repro.middletier.stages import engine_pass
 from repro.net.message import Payload, compress_payload, decompress_payload
 from repro.sim.resources import Resource
 from repro.telemetry.metrics import Counter
@@ -143,19 +144,7 @@ class HardwareEngine:
             raise ValueError(f"{self.name}: src_size {src_size} exceeds buffer {src.size}")
         # Fetch input from device memory.
         yield self.device.hbm.read(src_size, flow=flow)
-        # Stream through the engine; setup latency pipelines (it delays
-        # this block without stalling the next one).
-        slot = self._unit.request()
-        yield slot
-        try:
-            occupancy = self.profile.occupancy_time(src_size)
-            if self.fault_plan is not None:
-                occupancy *= self.fault_plan.slowdown(self.sim.now)
-            yield self.sim.timeout(occupancy)
-        finally:
-            self._unit.release(slot)
-        if self.profile.setup_time:
-            yield self.sim.timeout(self.profile.setup_time)
+        yield from engine_pass(self._unit, self.profile, src_size, self.fault_plan)
         result = (operation or self.operation)(payload)
         if result.size > dest.size:
             raise ValueError(

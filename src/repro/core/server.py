@@ -26,9 +26,9 @@ from repro.core.device import SmartDsDevice
 from repro.core.engines import lz4_decompress_op
 from repro.hostmodel.cache import DdioLlc
 from repro.hostmodel.memory import MemorySubsystem
-from repro.middletier.base import MiddleTierServer, ResponseMatcher
+from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, decompress_payload
+from repro.net.message import Message, Payload, decompress_payload
 from repro.net.roce import QueuePair, RoceEndpoint
 from repro.telemetry.metrics import Counter
 from repro.telemetry.registry import registry_for
@@ -36,7 +36,6 @@ from repro.telemetry.registry import registry_for
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.params import CacheSpec
     from repro.sim.kernel import Simulator
-    from repro.storage.server import StorageServer
 
 #: Device buffers leave room for LZ4's worst-case expansion on
 #: incompressible blocks.
@@ -129,7 +128,6 @@ class SmartDsMiddleTier(MiddleTierServer):
         self.api = SmartDsApi(self.device)
         self._buffer_bytes = self.platform.workload.block_size + _BUFFER_SLACK
         self._buffers: dict[int, tuple[int, typing.Any, typing.Any]] = {}
-        self._port_links: list[dict[str, tuple[QueuePair, ResponseMatcher]]] = []
         self._read_matchers: dict[tuple[int, str], _SplitReplyMatcher] = {}
         self.client_endpoint = self.device.instance(0).endpoint
         self.storage_endpoint = self.client_endpoint
@@ -139,21 +137,8 @@ class SmartDsMiddleTier(MiddleTierServer):
     def _endpoint_for_port(self, port_index: int) -> RoceEndpoint:
         return self.device.instance(port_index).endpoint
 
-    def _connect_storage(self) -> None:
-        for instance in self.device.instances:
-            links: dict[str, tuple[QueuePair, ResponseMatcher]] = {}
-            for server in self.testbed.storage_servers:
-                qp = server.accept_from(instance.endpoint)
-                links[server.address] = (qp, ResponseMatcher(self.sim, qp))
-            self._port_links.append(links)
-        # Base-class paths that don't know about ports use port 0.
-        self._storage_links = self._port_links[0]
-
-    def _storage_link_for(
-        self, server: "StorageServer", message: Message
-    ) -> tuple[QueuePair, ResponseMatcher]:
-        port = message.header.get("arrival_port", 0)
-        return self._port_links[port][server.address]
+    def _storage_endpoints(self) -> list[RoceEndpoint]:
+        return [instance.endpoint for instance in self.device.instances]
 
     def attach_client(self, client_endpoint: RoceEndpoint, port_index: int = 0) -> QueuePair:
         qp = client_endpoint.connect(self._endpoint_for_port(port_index))
@@ -266,16 +251,14 @@ class SmartDsMiddleTier(MiddleTierServer):
         self, worker_index: int, qp: QueuePair, message: Message
     ) -> typing.Generator:
         host = self.platform.host
-        if message.payload is None:
-            raise ValueError("write_request without payload")
         # Parse the header in host memory; post the engine descriptor and
         # the recv repost. The storage/reply sends are posted from the
         # completion context when the engine finishes.
         yield self.sim.timeout(host.parse_header_time)
         yield self.sim.timeout(host.post_descriptor_time * 2)
-        self.sim.process(self._compress_and_complete(qp, message))
+        self.sim.process(self._dev_func_and_complete(qp, message))
 
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
+    def _dev_func_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
         api = self.api
         entry = self._buffers.pop(message.request_id, None)
         posts = self.platform.storage.replication + 1
@@ -309,9 +292,7 @@ class SmartDsMiddleTier(MiddleTierServer):
                 parent.event("write.raw-payload", outcome="degraded", reason="brownout")
             outgoing = message.payload
         else:
-            d_send = yield from api.dev_alloc_within(
-                self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
-            )
+            d_send = yield from self._alloc_buffer()
             if d_send is None:
                 # No HBM for the compressed output within the bounded
                 # wait: ship the raw payload instead of crashing.
@@ -339,211 +320,64 @@ class SmartDsMiddleTier(MiddleTierServer):
 
     # -- the read path --------------------------------------------------------------
 
-    def _reply_from_cache(
+    def _read_attempt(
         self,
+        message: Message,
+        fetch: Message,
+        span: typing.Any,
+        attempt_timeout: typing.Callable[[], float],
+    ) -> typing.Generator:
+        """§2.2.2 on SmartDS: a reply with data is consumed by the Split
+        module (payload to HBM); a miss is header-only and lands at the
+        control matcher — as does a *full* reply when the device
+        degraded this QP to host-path ingress.
+
+        The context of a split reply is its HBM buffer; a control-path
+        reply has none.
+        """
+        port, address = message.header.get("arrival_port", 0), fetch.dst
+        storage_qp, control_matcher = self._port_links[port][address]
+        reply_matcher = self._read_matchers.get((port, address))
+        if reply_matcher is None:
+            reply_matcher = _SplitReplyMatcher(self, storage_qp)
+            self._read_matchers[port, address] = reply_matcher
+        data_event = reply_matcher.expect(fetch.request_id)
+        ctl_event = control_matcher.expect(fetch.request_id)
+        yield storage_qp.send(fetch)
+        deadline = self.sim.timeout(attempt_timeout())
+        yield self.sim.any_of([data_event, ctl_event, deadline])
+        if data_event.triggered:
+            control_matcher.forget(fetch.request_id)
+            stored, d_buf = data_event.value
+            if span is not None:
+                span.finish("ok", nbytes=stored.payload_size, path="split")
+            return stored, d_buf
+        reply_matcher.forget(fetch.request_id)
+        if not ctl_event.triggered:
+            control_matcher.forget(fetch.request_id)
+            return None
+        stored = ctl_event.value
+        if span is not None:
+            if stored.kind == "storage_read_reply" and stored.payload is not None:
+                # Degraded: the payload is in host memory.
+                span.finish("degraded", nbytes=stored.payload_size, path="host")
+            else:
+                span.finish("failed")
+        return stored, None
+
+    def _deliver_read(
+        self,
+        worker_index: int,
         qp: QueuePair,
         message: Message,
-        entry: typing.Any,
-        port_index: int,
-        started: float,
+        payload: Payload,
+        d_buf: typing.Any,
     ) -> typing.Generator:
-        """Serve a hit from HBM: decompress the cached buffer on the
-        port engine and reply — one hop, no storage traffic.
-
-        The entry stays pinned across the engine yields, so a
-        concurrent invalidation or shed defers the buffer free to our
-        release instead of yanking it mid-decompress.
-        """
-        api = self.api
-        payload = entry.payload
+        """Decompress on the port engine and reply via the Assemble path;
+        a host-path reply (no `d_buf`) completes degraded with a
+        software decompress from host DRAM."""
         parent = message.span
-        hit_span = None if parent is None else parent.child("cache.hit")
-        d_out = None
-        try:
-            if payload.is_compressed:
-                d_out = yield from api.dev_alloc_within(
-                    self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
-                )
-                if d_out is None:
-                    # No HBM for the decompressed output: software path.
-                    self.reads_degraded.add()
-                    sw_span = None if hit_span is None else hit_span.child("decompress.sw")
-                    yield self.memory.read(payload.size)
-                    payload = decompress_payload(payload)
-                    if sw_span is not None:
-                        sw_span.finish("degraded", nbytes=payload.size)
-                else:
-                    engine = self.device.instance(port_index).engine
-                    eng_span = None if hit_span is None else hit_span.child("engine.decompress")
-                    payload = yield engine.run(
-                        entry.buffer, payload.size, d_out, operation=lz4_decompress_op
-                    )
-                    if eng_span is not None:
-                        eng_span.finish(nbytes=payload.size)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = hit_span
-            yield qp.send(response)
-            if hit_span is not None:
-                hit_span.finish(nbytes=payload.size)
-            self._complete(message, nbytes=payload.size)
-            self.cache_hit_latency.record(self.sim.now - started)
-        finally:
-            self.cache.release(entry)
-            if d_out is not None:
-                api.dev_free(d_out)
-
-    def _fetch_and_reply(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        """§2.2.2 on SmartDS: reply payloads land in HBM via mixed recv,
-        decompress on the port engine, and leave via the Assemble path.
-
-        Same fail-over discipline as the base class: per-attempt
-        time-outs, rotation through the replica set (skipping suspected
-        servers), and ``status="unavailable"`` once the retry policy's
-        budget runs out. Under device-memory pressure a reply payload
-        may instead arrive whole on the control path (host DRAM); the
-        read then completes degraded with a software decompress.
-        """
-        api = self.api
-        started = self.sim.now
-        key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
-        port_index = message.header.get("arrival_port", 0)
-        parent = message.span
-        fill_token = None
-        if self.cache is not None:
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                yield from self._reply_from_cache(qp, message, entry, port_index, started)
-                return
-            if parent is not None:
-                parent.event("cache.miss")
-            if self._fill_allowed():
-                fill_token = self.cache.begin_fill(key)
-        locations = self._block_locations.get(key)
-        if not locations:
-            if parent is not None:
-                parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
-            return
-        policy = self.read_retry
-        token = self._retry_token(message)
-        start = self.sim.now
-        attempts = 0
-        stored: Message | None = None
-        d_buf: typing.Any = None
-        reply_matcher: "_SplitReplyMatcher | None" = None
-        while stored is None:
-            address = self._read_replica_for(locations, attempts)
-            if (
-                address is None
-                or policy.attempts_exhausted(attempts)
-                or policy.deadline_expired(self.sim.now - start)
-            ):
-                self.reads_unavailable.add()
-                self._release_admission(message)
-                if self._slo_monitors:
-                    self._observe_completion(
-                        message, "unavailable", latency=self.sim.now - started
-                    )
-                unavail_span = None
-                if parent is not None:
-                    unavail_span = parent.child(
-                        "read.unavailable", attempts=attempts, **policy.describe()
-                    )
-                response = message.reply("read_reply", status="unavailable")
-                response.span = unavail_span
-                yield qp.send(response)
-                if unavail_span is not None:
-                    unavail_span.finish("failed")
-                return
-            attempts += 1
-            backoff = policy.backoff_before(attempts, token)
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
-            server = self.testbed.server(address)
-            storage_qp, control_matcher = self._port_links[port_index][address]
-            reply_matcher = self._read_matchers.get((port_index, address))
-            if reply_matcher is None:
-                reply_matcher = _SplitReplyMatcher(self, storage_qp)
-                self._read_matchers[(port_index, address)] = reply_matcher
-
-            fetch = Message(
-                kind="storage_read",
-                src=self.address,
-                dst=server.address,
-                header_size=message.header_size,
-                header={"chunk_id": key[0], "block_id": key[1]},
-            )
-            attempt_span = None
-            if parent is not None:
-                attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
-                fetch.span = attempt_span
-            # A reply with data is consumed by the Split module (payload
-            # to HBM); a miss is header-only and lands at the control
-            # matcher — as does a *full* reply when the device degraded
-            # this QP to host-path ingress.
-            data_event = reply_matcher.expect(fetch.request_id)
-            ctl_event = control_matcher.expect(fetch.request_id)
-            yield storage_qp.send(fetch)
-            deadline = self.sim.timeout(policy.timeout_for(attempts, self.sim.now - start))
-            yield self.sim.any_of([data_event, ctl_event, deadline])
-
-            if data_event.triggered:
-                control_matcher.forget(fetch.request_id)
-                stored, d_buf = data_event.value
-                if self.admission is not None:
-                    self.admission.record_server_success(address)
-                if attempt_span is not None:
-                    attempt_span.finish("ok", nbytes=stored.payload_size, path="split")
-            elif ctl_event.triggered:
-                reply_matcher.forget(fetch.request_id)
-                ctl: Message = ctl_event.value
-                if self.admission is not None:
-                    self.admission.record_server_success(address)
-                if ctl.kind == "storage_read_reply" and ctl.payload is not None:
-                    stored = ctl  # degraded: payload is in host memory
-                    if attempt_span is not None:
-                        attempt_span.finish(
-                            "degraded", nbytes=stored.payload_size, path="host"
-                        )
-                else:
-                    if attempt_span is not None:
-                        attempt_span.finish("failed")
-                    self._release_admission(message)
-                    if self._slo_monitors:
-                        self._observe_completion(
-                            message, "not_found", latency=self.sim.now - started
-                        )
-                    yield qp.send(message.reply("read_reply", status="not_found"))
-                    return
-            else:
-                # Attempt timed out: release interest on both matchers
-                # and rotate to the next replica (§2.2.3 fail-over).
-                reply_matcher.forget(fetch.request_id)
-                control_matcher.forget(fetch.request_id)
-                if self.admission is not None:
-                    self.admission.record_server_failure(address)
-                self.read_failovers.add()
-                if attempt_span is not None:
-                    attempt_span.finish(
-                        "retried", timeout=policy.timeout_for(attempts, self.sim.now - start)
-                    )
-
-        payload = stored.payload
-        if self.cache is not None and fill_token is not None:
-            # Admission decision on the fetched (still compressed) block.
-            admitted = self.cache.offer(key, payload, fill_token)
-            if parent is not None:
-                parent.event("cache.fill", admitted=admitted)
         if d_buf is None:
-            # Host-path reply: decompress in software from host DRAM.
             self.reads_degraded.add()
             host_span = None
             if parent is not None:
@@ -551,50 +385,62 @@ class SmartDsMiddleTier(MiddleTierServer):
             if payload.is_compressed:
                 yield self.memory.read(payload.size)
                 payload = decompress_payload(payload)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = host_span
-            yield qp.send(response)
-            if host_span is not None:
-                host_span.finish("degraded", nbytes=payload.size)
-            self._complete(message, nbytes=payload.size)
-            if self.cache is not None:
-                self.cache_miss_latency.record(self.sim.now - started)
+            yield from self._reply_ok(qp, message, payload, host_span, outcome="degraded")
             return
-        d_out = yield from api.dev_alloc_within(
-            self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
-        )
+        d_out = yield from self._alloc_buffer()
         try:
             if payload.is_compressed:
-                if d_out is None:
-                    # No HBM for the decompressed output: software path.
-                    self.reads_degraded.add()
-                    sw_span = None if parent is None else parent.child("decompress.sw")
-                    yield self.memory.read(payload.size)
-                    payload = decompress_payload(payload)
-                    if sw_span is not None:
-                        sw_span.finish("degraded", nbytes=payload.size)
-                else:
-                    # Same engine, decompression microprogram (the paper's
-                    # engines are symmetric for LZ4).
-                    engine = self.device.instance(port_index).engine
-                    eng_span = None if parent is None else parent.child("engine.decompress")
-                    payload = yield engine.run(
-                        d_buf, payload.size, d_out, operation=lz4_decompress_op
-                    )
-                    if eng_span is not None:
-                        eng_span.finish(nbytes=payload.size)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = parent
-            yield qp.send(response)
-            self._complete(message, nbytes=payload.size)
-            if self.cache is not None:
-                self.cache_miss_latency.record(self.sim.now - started)
+                payload = yield from self._decompress_into(message, payload, d_buf, d_out, parent)
+            yield from self._reply_ok(qp, message, payload, parent)
         finally:
-            reply_matcher.release(d_buf)
+            self.api.dev_free(d_buf)
             if d_out is not None:
-                api.dev_free(d_out)
+                self.api.dev_free(d_out)
+
+    def _decompress_cached(
+        self, worker_index: int, message: Message, entry: typing.Any, span: typing.Any
+    ) -> typing.Generator:
+        """Decompress a hit from its HBM buffer on the port engine — one
+        hop, no storage traffic."""
+        d_out = yield from self._alloc_buffer()
+        payload = yield from self._decompress_into(message, entry.payload, entry.buffer, d_out, span)
+        cleanup = None if d_out is None else (lambda: self.api.dev_free(d_out))
+        return payload, cleanup
+
+    def _alloc_buffer(self) -> typing.Generator:
+        """An HBM buffer for an engine's output, or ``None`` once the
+        bounded degraded-mode wait expires."""
+        return self.api.dev_alloc_within(
+            self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
+        )
+
+    def _decompress_into(
+        self,
+        message: Message,
+        payload: Payload,
+        source: typing.Any,
+        d_out: typing.Any,
+        span: typing.Any,
+    ) -> typing.Generator:
+        """Decompress `payload` from HBM buffer `source` into `d_out` on
+        the arrival port's engine, or in software without `d_out`."""
+        if d_out is None:
+            # No HBM for the decompressed output: software path.
+            self.reads_degraded.add()
+            sw_span = None if span is None else span.child("decompress.sw")
+            yield self.memory.read(payload.size)
+            payload = decompress_payload(payload)
+            if sw_span is not None:
+                sw_span.finish("degraded", nbytes=payload.size)
+            return payload
+        # Same engine, decompression microprogram (the paper's engines
+        # are symmetric for LZ4).
+        engine = self.device.instance(message.header.get("arrival_port", 0)).engine
+        eng_span = None if span is None else span.child("engine.decompress")
+        payload = yield engine.run(source, payload.size, d_out, operation=lz4_decompress_op)
+        if eng_span is not None:
+            eng_span.finish(nbytes=payload.size)
+        return payload
 
 
 class _SplitReplyMatcher:
@@ -626,10 +472,6 @@ class _SplitReplyMatcher:
     def forget(self, request_id: int) -> None:
         """Drop interest in a reply (the miss path won the race)."""
         self._waiting.pop(request_id, None)
-
-    def release(self, d_buf: typing.Any) -> None:
-        """Return a delivered reply's device buffer to the allocator."""
-        self.tier.api.dev_free(d_buf)
 
     def _post(self) -> None:
         api = self.tier.api

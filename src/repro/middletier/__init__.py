@@ -1,8 +1,9 @@
 """Middle-tier server designs.
 
 The paper compares four middle-tier architectures (Fig. 1) plus
-SmartDS. This package implements the baselines and the shared
-write/read-path machinery:
+SmartDS; the repository adds BlueField-3 as a sixth design. This
+package implements the five baselines, the stages they are built from,
+and the shared write/read-path machinery:
 
 - :class:`~repro.middletier.cpu_only.CpuOnlyMiddleTier` -- Fig. 1a,
   compression on host cores;
@@ -11,10 +12,13 @@ write/read-path machinery:
 - :class:`~repro.middletier.naive_fpga.NaiveFpgaMiddleTier` -- Fig. 1c,
   everything offloaded to the SmartNIC (no host flexibility);
 - :class:`~repro.middletier.soc_smartnic.BlueField2MiddleTier` --
-  Fig. 1d, Arm cores + on-board engine with weak device memory.
+  Fig. 1d, Arm cores + on-board engine with weak device memory;
+- :class:`~repro.middletier.soc_smartnic.BlueField3MiddleTier` --
+  §3.4's BlueField-3: Arm cores compress, no engine.
 
-The SmartDS middle tier lives in :mod:`repro.core.server`, built on the
-SmartDS device and its AAMS API.
+:mod:`repro.middletier.stages` holds the datapath stages every design
+composes. The SmartDS middle tier lives in :mod:`repro.core.server`,
+built on the SmartDS device and its AAMS API.
 """
 
 from repro.middletier.accelerator import AcceleratorMiddleTier

@@ -19,13 +19,11 @@ from __future__ import annotations
 import typing
 
 from repro.compression.model import FPGA_ENGINE, CompressorProfile
-from repro.hostmodel.cache import DdioLlc
 from repro.hostmodel.memory import MemorySubsystem
 from repro.hostmodel.pcie import PcieLink
-from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, Payload, compress_payload
-from repro.net.nic import HostNic
+from repro.middletier.stages import HostNicMiddleTier, codec_stage, engine_pass
+from repro.net.message import Message, Payload, compress_payload, decompress_payload
 from repro.net.roce import QueuePair
 from repro.sim.resources import Resource
 from repro.units import mib
@@ -38,7 +36,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PIPELINE_WINDOW = mib(1)
 
 
-class AcceleratorMiddleTier(MiddleTierServer):
+class AcceleratorMiddleTier(HostNicMiddleTier):
     """Host control plane + PCIe FPGA compression; the paper's "Acc"."""
 
     design_name = "Acc"
@@ -57,76 +55,51 @@ class AcceleratorMiddleTier(MiddleTierServer):
         self._ddio_enabled = ddio_enabled
         self._engine_profile = engine_profile
         self._shared_memory = memory
+        # With DDIO the egress NIC reads results the FPGA just wrote (hit);
+        # without it every device read goes to DRAM. The FPGA's own reads
+        # see the same working set.
+        self._read_working_set = _PIPELINE_WINDOW if ddio_enabled else (
+            testbed.platform.workload.intermediate_buffer_bytes
+        )
         super().__init__(sim, testbed, n_workers, address=address)
 
     def _build(self) -> None:
-        host = self.platform.host
-        self.memory = self._shared_memory or MemorySubsystem.for_host(
-            self.sim, host, name=f"{self.address}.dram"
-        )
-        self.llc = DdioLlc(host, enabled=self._ddio_enabled)
-        # With DDIO the egress NIC reads results the FPGA just wrote (hit);
-        # without it every device read goes to DRAM.
-        read_ws = _PIPELINE_WINDOW if self._ddio_enabled else (
-            self.platform.workload.intermediate_buffer_bytes
-        )
-        self.nic = HostNic(
-            self.sim,
-            self.address,
-            self.memory,
-            self.llc,
-            host_spec=host,
-            network_spec=self.platform.network,
-            workload_spec=self.platform.workload,
-            read_working_set=read_ws,
-        )
+        super()._build()
         # The accelerator is a second PCIe device with its own x16 link.
-        self.fpga_pcie = PcieLink(self.sim, host, name=f"{self.address}.fpga-pcie")
+        self.fpga_pcie = PcieLink(self.sim, self.platform.host, name=f"{self.address}.fpga-pcie")
         self.engine = Resource(self.sim, capacity=1, name=f"{self.address}.engine")
-        self._fpga_read_ws = read_ws
-        self.client_endpoint = self.nic.endpoint
-        self.storage_endpoint = self.nic.endpoint
 
     def _handle_write(
         self, worker_index: int, qp: QueuePair, message: Message
     ) -> typing.Generator:
         host = self.platform.host
-        if message.payload is None:
-            raise ValueError("write_request without payload")
         yield self.sim.timeout(host.parse_header_time)
         # Post the engine descriptor and move on; a completion context
         # finishes the request so the worker never blocks on the FPGA.
+        # The CPU then polls the completion and posts the storage sends.
         yield self.sim.timeout(host.post_descriptor_time)
-        self.sim.process(self._compress_and_complete(qp, message))
+        self.sim.process(self._compress_and_complete(worker_index, qp, message, host_posts=True))
 
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        host = self.platform.host
-        payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload
-        else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
-        # The CPU polls the completion and posts the storage sends.
-        posts = self.platform.storage.replication + 1
-        yield self.sim.timeout(host.post_descriptor_time * posts)
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        """Round-trip the payload through the FPGA over its own PCIe link."""
-        traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
+    def _fpga_round_trip(
+        self, payload: Payload, operation: typing.Callable[[Payload], Payload]
+    ) -> typing.Generator:
+        """Host-memory read pass (LLC hit or DRAM), then the engine stage
+        over the FPGA's own PCIe link."""
+        traffic = self.llc.dma_read(payload.size, self._read_working_set)
         if traffic.dram_read:
             yield self.memory.read(traffic.dram_read)
-        yield self.fpga_pcie.dma_read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        outgoing = compress_payload(payload)
-        yield self.fpga_pcie.dma_write(outgoing.size)
+        return (
+            yield from codec_stage(
+                payload,
+                operation,
+                self.fpga_pcie.dma_read,
+                self.fpga_pcie.dma_write,
+                engine_pass(self.engine, self._engine_profile, payload.size),
+            )
+        )
+
+    def _engine_compress(self, payload: Payload) -> typing.Generator:
+        outgoing = yield from self._fpga_round_trip(payload, compress_payload)
         traffic = self.llc.dma_write(
             outgoing.size, self.platform.workload.intermediate_buffer_bytes
         )
@@ -134,19 +107,9 @@ class AcceleratorMiddleTier(MiddleTierServer):
             yield self.memory.write(traffic.dram_write)
         return outgoing
 
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
+    def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
+        return (yield self.sim.process(self._engine_compress(payload)))
+
+    def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
         """Reads decompress on the engine too (same PCIe round trip)."""
-        traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
-        if traffic.dram_read:
-            yield self.memory.read(traffic.dram_read)
-        yield self.fpga_pcie.dma_read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        original = payload.original_size or payload.size
-        yield self.fpga_pcie.dma_write(original)
+        return self._fpga_round_trip(payload, decompress_payload)

@@ -174,6 +174,7 @@ class MiddleTierServer(abc.ABC):
         self.read_failovers = Counter(f"{address}.read-failovers")
         self.reads_unavailable = Counter(f"{address}.reads-unavailable")
         self._requests: Store = Store(sim, name=f"{address}.requests")
+        self._port_links: list[dict[str, tuple[QueuePair, ResponseMatcher]]] = []
         self._storage_links: dict[str, tuple[QueuePair, ResponseMatcher]] = {}
         self._block_locations: dict[tuple[int, int], tuple[str, ...]] = {}
         #: set True (e.g. by the LSM compaction service) to keep served
@@ -251,18 +252,25 @@ class MiddleTierServer(abc.ABC):
         """Worker-synchronous part of serving one write request.
 
         Must end by calling :meth:`_spawn_completion` with the payload
-        to persist (compressed or raw), then return so the worker can
+        to persist (compressed or raw) -- usually through
+        :meth:`_compress_and_complete` -- then return so the worker can
         pick up the next request.
         """
 
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        """Charge the design's resources for decompressing one payload.
+    def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
+        """The design's compress stage: charge its resources and return
+        the compressed payload. Required by :meth:`_compress_or_forward`."""
+        raise NotImplementedError(f"{self.design_name} has no compress stage")
+
+    def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
+        """The design's decompress stage: charge its resources and return
+        the decompressed payload.
 
         Default: free (subclasses charge CPU/engine time). The ~7x
         CPU-decompression speed advantage (§2.2.3) is modeled where a
         design overrides this.
         """
-        return
+        return decompress_payload(payload)
         yield  # pragma: no cover - generator form
 
     # -- wiring ------------------------------------------------------------
@@ -393,10 +401,19 @@ class MiddleTierServer(abc.ABC):
         """Brownout rung 1 gate: whether read misses may fill the cache."""
         return self.admission is None or self.admission.cache_fills_allowed()
 
+    def _storage_endpoints(self) -> list[RoceEndpoint]:
+        """Endpoints towards storage, one per port (index = arrival port)."""
+        return [self.storage_endpoint]
+
     def _connect_storage(self) -> None:
-        for server in self.testbed.storage_servers:
-            qp = server.accept_from(self.storage_endpoint)
-            self._storage_links[server.address] = (qp, ResponseMatcher(self.sim, qp))
+        for endpoint in self._storage_endpoints():
+            links: dict[str, tuple[QueuePair, ResponseMatcher]] = {}
+            for server in self.testbed.storage_servers:
+                qp = server.accept_from(endpoint)
+                links[server.address] = (qp, ResponseMatcher(self.sim, qp))
+            self._port_links.append(links)
+        # Paths that don't know about ports use port 0.
+        self._storage_links = self._port_links[0]
 
     def start(self) -> None:
         """Spawn the worker pool (idempotent)."""
@@ -412,11 +429,36 @@ class MiddleTierServer(abc.ABC):
         while True:
             qp, message = yield self._requests.get()
             if message.kind == "write_request":
+                if message.payload is None:
+                    raise ValueError("write_request without payload")
                 yield from self._handle_write(index, qp, message)
             elif message.kind == "read_request":
                 yield from self._handle_read(index, qp, message)
             else:
                 raise ValueError(f"{self.design_name} got unexpected message {message.kind!r}")
+
+    # -- the write path: compress-or-forward, then complete -------------------
+
+    def _compress_or_forward(self, worker_index: int, message: Message) -> typing.Generator:
+        """The payload to replicate: raw for a latency-sensitive write
+        (Listing 1) or under brownout rung 3, else :meth:`_compress`'s."""
+        if message.header.get("latency_sensitive") or not self._compression_allowed():
+            return message.payload
+        return (yield from self._compress(worker_index, message.payload))
+
+    def _compress_and_complete(
+        self, worker_index: int, qp: QueuePair, message: Message, host_posts: bool = False
+    ) -> typing.Generator:
+        """Compress-or-forward the payload, then persist it and ack the VM.
+
+        With `host_posts` the host CPU polls the completion and posts the
+        replica sends and the VM reply; on a SmartNIC that is the card's.
+        """
+        outgoing = yield from self._compress_or_forward(worker_index, message)
+        if host_posts:
+            posts = self.platform.storage.replication + 1  # replicas + VM ack
+            yield self.sim.timeout(self.platform.host.post_descriptor_time * posts)
+        self._spawn_completion(qp, message, outgoing)
 
     # -- write completion: replication, fail-over, VM ack --------------------
 
@@ -600,12 +642,9 @@ class MiddleTierServer(abc.ABC):
     def _storage_link_for(
         self, server: "StorageServer", message: Message
     ) -> tuple[QueuePair, ResponseMatcher]:
-        """The (QP, matcher) to reach `server` for this request.
-
-        Multi-port designs override this to keep storage traffic on the
-        port the request arrived on.
-        """
-        return self._storage_links[server.address]
+        """The (QP, matcher) to reach `server` for this request: storage
+        traffic stays on the port the request arrived on."""
+        return self._port_links[message.header.get("arrival_port", 0)][server.address]
 
     @staticmethod
     def _retry_token(message: Message) -> int:
@@ -705,6 +744,10 @@ class MiddleTierServer(abc.ABC):
         With a cache attached, a hit replies straight from device
         memory — no storage round trip, no failover; a miss takes the
         path below and then offers the fetched block for admission.
+
+        Designs supply two hooks: :meth:`_read_attempt` issues one fetch
+        and waits for its reply, and :meth:`_deliver_read` decompresses
+        the fetched block and replies.
         """
         started = self.sim.now
         key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
@@ -713,25 +756,23 @@ class MiddleTierServer(abc.ABC):
         if self.cache is not None:
             entry = self.cache.lookup(key)
             if entry is not None:
+                # The entry stays pinned across the decompress and the
+                # reply, so a concurrent invalidation or shed defers the
+                # buffer free to our release instead of yanking it.
                 hit_span = None if parent is None else parent.child("cache.hit")
+                cleanup = None
                 try:
                     payload = entry.payload
                     if payload.is_compressed:
-                        dec_span = None if hit_span is None else hit_span.child("decompress")
-                        yield from self._decompress_cost(worker_index, payload)
-                        payload = decompress_payload(payload)
-                        if dec_span is not None:
-                            dec_span.finish(nbytes=payload.size)
+                        payload, cleanup = yield from self._decompress_cached(
+                            worker_index, message, entry, hit_span
+                        )
+                    yield from self._reply_ok(qp, message, payload, hit_span, outcome="ok")
+                    self.cache_hit_latency.record(self.sim.now - started)
                 finally:
                     self.cache.release(entry)
-                response = message.reply("read_reply", status="ok")
-                response.payload = payload
-                response.span = hit_span
-                yield qp.send(response)
-                if hit_span is not None:
-                    hit_span.finish(nbytes=payload.size)
-                self._complete(message, nbytes=payload.size)
-                self.cache_hit_latency.record(self.sim.now - started)
+                    if cleanup is not None:
+                        cleanup()
                 return
             if parent is not None:
                 parent.event("cache.miss")
@@ -741,54 +782,30 @@ class MiddleTierServer(abc.ABC):
                 fill_token = self.cache.begin_fill(key)
         locations = self._block_locations.get(key)
         if not locations:
-            if parent is not None:
-                parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
+            yield from self._reply_not_found(qp, message, started)
             return
         policy = self.read_retry
         token = self._retry_token(message)
         start = self.sim.now
         attempts = 0
-        stored: Message | None = None
-        while stored is None:
+        fetched = None
+        while fetched is None:
             address = self._read_replica_for(locations, attempts)
             if (
                 address is None
                 or policy.attempts_exhausted(attempts)
                 or policy.deadline_expired(self.sim.now - start)
             ):
-                self.reads_unavailable.add()
-                self._release_admission(message)
-                if self._slo_monitors:
-                    self._observe_completion(
-                        message, "unavailable", latency=self.sim.now - started
-                    )
-                unavail_span = None
-                if parent is not None:
-                    unavail_span = parent.child(
-                        "read.unavailable", attempts=attempts, **policy.describe()
-                    )
-                response = message.reply("read_reply", status="unavailable")
-                response.span = unavail_span
-                yield qp.send(response)
-                if unavail_span is not None:
-                    unavail_span.finish("failed")
+                yield from self._reply_unavailable(qp, message, started, attempts)
                 return
             attempts += 1
             backoff = policy.backoff_before(attempts, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
-            server = self.testbed.server(address)
-            storage_qp, matcher = self._storage_link_for(server, message)
             fetch = Message(
                 kind="storage_read",
                 src=self.address,
-                dst=server.address,
+                dst=address,
                 header_size=message.header_size,
                 header={"chunk_id": key[0], "block_id": key[1]},
             )
@@ -796,34 +813,22 @@ class MiddleTierServer(abc.ABC):
             if parent is not None:
                 attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
                 fetch.span = attempt_span
-            reply_event = matcher.expect(fetch.request_id)
-            yield storage_qp.send(fetch)
-            deadline = self.sim.timeout(policy.timeout_for(attempts, self.sim.now - start))
-            yield AnyOf(self.sim, [reply_event, deadline])
-            if reply_event.triggered:
-                stored = reply_event.value
+
+            def attempt_timeout() -> float:
+                return policy.timeout_for(attempts, self.sim.now - start)
+
+            fetched = yield from self._read_attempt(message, fetch, attempt_span, attempt_timeout)
+            if fetched is None:
                 if self.admission is not None:
-                    self.admission.record_server_success(server.address)
-                if attempt_span is not None:
-                    attempt_span.finish("ok", nbytes=stored.payload_size)
-            else:
-                matcher.forget(fetch.request_id)
-                if self.admission is not None:
-                    self.admission.record_server_failure(server.address)
+                    self.admission.record_server_failure(address)
                 self.read_failovers.add()
                 if attempt_span is not None:
-                    attempt_span.finish(
-                        "retried", timeout=policy.timeout_for(attempts, self.sim.now - start)
-                    )
+                    attempt_span.finish("retried", timeout=attempt_timeout())
+            elif self.admission is not None:
+                self.admission.record_server_success(address)
+        stored, context = fetched
         if stored.kind != "storage_read_reply" or stored.payload is None:
-            if parent is not None:
-                parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
+            yield from self._reply_not_found(qp, message, started)
             return
         payload = stored.payload
         if self.cache is not None and fill_token is not None:
@@ -831,16 +836,111 @@ class MiddleTierServer(abc.ABC):
             admitted = self.cache.offer(key, payload, fill_token)
             if parent is not None:
                 parent.event("cache.fill", admitted=admitted)
-        if payload.is_compressed:
-            dec_span = None if parent is None else parent.child("decompress")
-            yield from self._decompress_cost(worker_index, payload)
-            payload = decompress_payload(payload)
-            if dec_span is not None:
-                dec_span.finish(nbytes=payload.size)
-        response = message.reply("read_reply", status="ok")
-        response.payload = payload
-        response.span = parent
-        yield qp.send(response)
-        self._complete(message, nbytes=payload.size)
+        yield from self._deliver_read(worker_index, qp, message, payload, context)
         if self.cache is not None:
             self.cache_miss_latency.record(self.sim.now - started)
+
+    def _read_attempt(
+        self,
+        message: Message,
+        fetch: Message,
+        span: typing.Any,
+        attempt_timeout: typing.Callable[[], float],
+    ) -> typing.Generator:
+        """Send `fetch` and wait for its reply, or for ``attempt_timeout()``
+        after the send completes.
+
+        Returns ``None`` on time-out, else ``(reply, context)``; the
+        context goes to :meth:`_deliver_read`. A reply finishes `span`.
+        """
+        storage_qp, matcher = self._storage_link_for(self.testbed.server(fetch.dst), message)
+        reply_event = matcher.expect(fetch.request_id)
+        yield storage_qp.send(fetch)
+        deadline = self.sim.timeout(attempt_timeout())
+        yield AnyOf(self.sim, [reply_event, deadline])
+        if not reply_event.triggered:
+            matcher.forget(fetch.request_id)
+            return None
+        stored: Message = reply_event.value
+        if span is not None:
+            span.finish("ok", nbytes=stored.payload_size)
+        return stored, None
+
+    def _deliver_read(
+        self,
+        worker_index: int,
+        qp: QueuePair,
+        message: Message,
+        payload: Payload,
+        context: typing.Any,
+    ) -> typing.Generator:
+        """Decompress a fetched block and send the ``ok`` reply."""
+        if payload.is_compressed:
+            payload = yield from self._traced_decompress(worker_index, payload, message.span)
+        yield from self._reply_ok(qp, message, payload, message.span)
+
+    def _traced_decompress(
+        self, worker_index: int, payload: Payload, span: typing.Any
+    ) -> typing.Generator:
+        """:meth:`_decompress` under a ``decompress`` child of `span`."""
+        dec_span = None if span is None else span.child("decompress")
+        payload = yield from self._decompress(worker_index, payload)
+        if dec_span is not None:
+            dec_span.finish(nbytes=payload.size)
+        return payload
+
+    def _decompress_cached(
+        self, worker_index: int, message: Message, entry: typing.Any, span: typing.Any
+    ) -> typing.Generator:
+        """Decompress a cache hit; returns ``(payload, cleanup)``, where
+        `cleanup` (or ``None``) runs after the reply, once unpinned."""
+        payload = yield from self._traced_decompress(worker_index, entry.payload, span)
+        return payload, None
+
+    def _reply_ok(
+        self,
+        qp: QueuePair,
+        message: Message,
+        payload: Payload,
+        span: typing.Any,
+        outcome: str | None = None,
+    ) -> typing.Generator:
+        """Send the ``ok`` read reply carrying `span` and count the read;
+        with `outcome`, finish `span` once the reply is out."""
+        response = message.reply("read_reply", status="ok")
+        response.payload = payload
+        response.span = span
+        yield qp.send(response)
+        if outcome is not None and span is not None:
+            span.finish(outcome, nbytes=payload.size)
+        self._complete(message, nbytes=payload.size)
+
+    def _reply_not_found(
+        self, qp: QueuePair, message: Message, started: float
+    ) -> typing.Generator:
+        """Terminal reply for a block no replica holds."""
+        if message.span is not None:
+            message.span.event("read.not_found", outcome="failed")
+        self._release_admission(message)
+        if self._slo_monitors:
+            self._observe_completion(message, "not_found", latency=self.sim.now - started)
+        yield qp.send(message.reply("read_reply", status="not_found"))
+
+    def _reply_unavailable(
+        self, qp: QueuePair, message: Message, started: float, attempts: int
+    ) -> typing.Generator:
+        """Terminal reply once fail-over has run out of replicas, attempts or time."""
+        self.reads_unavailable.add()
+        self._release_admission(message)
+        if self._slo_monitors:
+            self._observe_completion(message, "unavailable", latency=self.sim.now - started)
+        unavail_span = None
+        if message.span is not None:
+            unavail_span = message.span.child(
+                "read.unavailable", attempts=attempts, **self.read_retry.describe()
+            )
+        response = message.reply("read_reply", status="unavailable")
+        response.span = unavail_span
+        yield qp.send(response)
+        if unavail_span is not None:
+            unavail_span.finish("failed")

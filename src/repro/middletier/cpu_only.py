@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import typing
 
-from repro.hostmodel.cache import DdioLlc
 from repro.hostmodel.cpu import CpuComplex
 from repro.hostmodel.memory import MemorySubsystem
-from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, Payload, compress_payload
-from repro.net.nic import HostNic
+from repro.middletier.stages import HostNicMiddleTier, core_stage
+from repro.net.message import Message, Payload, compress_payload, decompress_payload
 from repro.net.roce import QueuePair
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,7 +25,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _DECOMPRESSION_SPEEDUP = 7.0
 
 
-class CpuOnlyMiddleTier(MiddleTierServer):
+class CpuOnlyMiddleTier(HostNicMiddleTier):
     """Compression on host cores; the paper's "CPU-only" baseline."""
 
     design_name = "CPU-only"
@@ -51,49 +49,21 @@ class CpuOnlyMiddleTier(MiddleTierServer):
         extra = {} if replica_timeout is None else {"replica_timeout": replica_timeout}
         super().__init__(sim, testbed, n_workers, address=address, **extra)
 
-    def _build(self) -> None:
-        host = self.platform.host
-        self.memory = self._shared_memory or MemorySubsystem.for_host(
-            self.sim, host, name=f"{self.address}.dram"
-        )
-        self.llc = DdioLlc(host, enabled=self._ddio_enabled)
-        self.nic = HostNic(
-            self.sim,
-            self.address,
-            self.memory,
-            self.llc,
-            host_spec=host,
-            network_spec=self.platform.network,
-            workload_spec=self.platform.workload,
-        )
-        self.client_endpoint = self.nic.endpoint
-        self.storage_endpoint = self.nic.endpoint
-
     def _handle_write(
         self, worker_index: int, qp: QueuePair, message: Message
     ) -> typing.Generator:
-        host = self.platform.host
-        payload = message.payload
-        if payload is None:
-            raise ValueError("write_request without payload")
-        yield self.sim.timeout(host.parse_header_time)
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload  # forwarded raw (Listing 1 / brownout rung 3)
-        else:
-            profile = self.cpu.compression_profile(worker_index, self.n_workers)
-            # The DMA ring is long evicted (§3.2): compression streams the
-            # payload from DRAM and writes the result back for NIC egress.
-            yield self.memory.read(payload.size)
-            yield self.sim.timeout(profile.time_for(payload.size))
-            outgoing = compress_payload(payload)
-            yield self.memory.write(outgoing.size)
-        posts = self.platform.storage.replication + 1  # replicas + VM ack
-        yield self.sim.timeout(host.post_descriptor_time * posts)
-        self._spawn_completion(qp, message, outgoing)
+        yield self.sim.timeout(self.platform.host.parse_header_time)
+        yield from self._compress_and_complete(worker_index, qp, message, host_posts=True)
 
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
+    def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
+        profile = self.cpu.compression_profile(worker_index, self.n_workers)
+        # The DMA ring is long evicted (§3.2): compression streams the
+        # payload from DRAM and writes the result back for NIC egress.
+        seconds = profile.time_for(payload.size)
+        return core_stage(self.memory, seconds, payload, compress_payload)
+
+    def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
         profile = self.cpu.compression_profile(worker_index, self.n_workers)
         original = payload.original_size or payload.size
-        yield self.memory.read(payload.size)
-        yield self.sim.timeout(original / (profile.rate * _DECOMPRESSION_SPEEDUP))
-        yield self.memory.write(original)
+        seconds = original / (profile.rate * _DECOMPRESSION_SPEEDUP)
+        return core_stage(self.memory, seconds, payload, decompress_payload)

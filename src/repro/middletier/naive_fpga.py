@@ -13,21 +13,14 @@ from __future__ import annotations
 import typing
 
 from repro.compression.model import FPGA_ENGINE, CompressorProfile
-from repro.hostmodel.memory import MemorySubsystem
-from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.middletier.soc_smartnic import DeviceMemoryDatapath
-from repro.net.link import NetworkPort
-from repro.net.message import Message, Payload, compress_payload
-from repro.net.roce import QueuePair, RoceEndpoint
-from repro.sim.resources import Resource
-from repro.units import kib
+from repro.middletier.stages import DeviceMemoryMiddleTier
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
-class NaiveFpgaMiddleTier(MiddleTierServer):
+class NaiveFpgaMiddleTier(DeviceMemoryMiddleTier):
     """Everything-in-gateware offload; the paper's Fig. 1c strawman."""
 
     design_name = "FPGA-only"
@@ -42,77 +35,13 @@ class NaiveFpgaMiddleTier(MiddleTierServer):
         address: str = "tier0",
         engine_profile: CompressorProfile = FPGA_ENGINE,
     ) -> None:
-        self._engine_profile = engine_profile
+        platform = testbed.platform
+        spec = platform.smartds  # same VCU128 board as SmartDS
+        self._parse_time = spec.hw_parse_time
+        self._memory = (spec.hbm_rate, spec.hbm_lanes, "hbm")
+        self._port_rate = platform.network.port_rate
         # `n_workers` is the number of parallel hardware pipelines, each
         # with a dedicated compression engine.
+        self._engine_profile = engine_profile
+        self._engine_capacity = n_workers
         super().__init__(sim, testbed, n_workers, address=address)
-
-    def _build(self) -> None:
-        spec = self.platform.smartds  # same VCU128 board as SmartDS
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.hbm_rate,
-            lanes=spec.hbm_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.hbm",
-        )
-        self.port = NetworkPort(
-            self.sim, rate=self.platform.network.port_rate, name=f"{self.address}.port"
-        )
-        endpoint = RoceEndpoint(
-            self.sim,
-            self.port,
-            self.address,
-            datapath=DeviceMemoryDatapath(self.device_memory),
-            spec=self.platform.network,
-        )
-        # One compression engine per hardware pipeline; blocks stream
-        # through them (the engine's setup latency pipelines).
-        self.engines = Resource(self.sim, capacity=self.n_workers, name=f"{self.address}.engines")
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint
-
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        payload = message.payload
-        if payload is None:
-            raise ValueError("write_request without payload")
-        # Hardware parse, then hand the block to an engine; the parse
-        # pipeline moves straight on to the next message.
-        yield self.sim.timeout(self.platform.smartds.hw_parse_time)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload
-        else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        yield self.device_memory.read(payload.size)
-        slot = self.engines.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engines.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        outgoing = compress_payload(payload)
-        yield self.device_memory.write(outgoing.size)
-        return outgoing
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        yield self.device_memory.read(payload.size)
-        slot = self.engines.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engines.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        yield self.device_memory.write(payload.original_size or payload.size)

@@ -12,35 +12,15 @@ from __future__ import annotations
 import typing
 
 from repro.compression.model import BF2_ENGINE, CompressorProfile
-from repro.hostmodel.memory import MemorySubsystem
-from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.link import NetworkPort
-from repro.net.message import Message, Payload, compress_payload
-from repro.net.roce import Datapath, QueuePair, RoceEndpoint
-from repro.sim.resources import Resource
-from repro.units import kib
+from repro.middletier.stages import DeviceMemoryMiddleTier, core_stage
+from repro.net.message import Message, Payload, compress_payload, decompress_payload
+from repro.net.roce import QueuePair
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
-
-class DeviceMemoryDatapath(Datapath):
-    """Every message lands in / departs from the SmartNIC's own DRAM."""
-
-    def __init__(self, device_memory: MemorySubsystem) -> None:
-        self.device_memory = device_memory
-
-    def ingress(self, message: Message, qp: QueuePair) -> typing.Generator:
-        yield self.device_memory.write(message.size)
-        return False
-
-    def egress(self, message: Message, qp: QueuePair) -> typing.Generator:
-        yield self.device_memory.read(message.size)
-        return None
-
-
-class BlueField2MiddleTier(MiddleTierServer):
+class BlueField2MiddleTier(DeviceMemoryMiddleTier):
     """The paper's "BF2" baseline: SoC SmartNIC with on-board engine."""
 
     design_name = "BF2"
@@ -55,79 +35,20 @@ class BlueField2MiddleTier(MiddleTierServer):
         address: str = "tier0",
         engine_profile: CompressorProfile = BF2_ENGINE,
     ) -> None:
-        arm_cores = testbed.platform.bluefield2.arm_cores
-        if n_workers > arm_cores:
-            raise ValueError(f"BlueField-2 has {arm_cores} Arm cores, asked for {n_workers}")
+        platform = testbed.platform
+        spec = platform.bluefield2
+        if n_workers > spec.arm_cores:
+            raise ValueError(f"BlueField-2 has {spec.arm_cores} Arm cores, asked for {n_workers}")
+        # The Arm core parses the header (it reads it from device DDR,
+        # negligible bytes) and posts the engine descriptor.
+        self._parse_time = spec.arm_parse_time
+        self._memory = (spec.device_memory_rate, spec.device_memory_lanes, "ddr")
+        self._port_rate = platform.network.port_rate
         self._engine_profile = engine_profile
         super().__init__(sim, testbed, n_workers, address=address)
 
-    def _build(self) -> None:
-        spec = self.platform.bluefield2
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.device_memory_rate,
-            lanes=spec.device_memory_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.ddr",
-        )
-        self.port = NetworkPort(
-            self.sim, rate=self.platform.network.port_rate, name=f"{self.address}.port"
-        )
-        datapath = DeviceMemoryDatapath(self.device_memory)
-        endpoint = RoceEndpoint(
-            self.sim, self.port, self.address, datapath=datapath, spec=self.platform.network
-        )
-        self.engine = Resource(self.sim, capacity=1, name=f"{self.address}.engine")
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint
 
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        if message.payload is None:
-            raise ValueError("write_request without payload")
-        # The Arm core parses the header (it reads it from device DDR,
-        # negligible bytes) and posts the engine descriptor.
-        yield self.sim.timeout(self.platform.bluefield2.arm_parse_time)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload
-        else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        """Off-path engine: DDR read, compress, DDR write (§3.4's passes)."""
-        yield self.device_memory.read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        outgoing = compress_payload(payload)
-        yield self.device_memory.write(outgoing.size)
-        return outgoing
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        yield self.device_memory.read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        yield self.device_memory.write(payload.original_size or payload.size)
-
-
-class BlueField3MiddleTier(MiddleTierServer):
+class BlueField3MiddleTier(DeviceMemoryMiddleTier):
     """The upcoming BlueField-3 as a middle tier (§3.4's thought experiment).
 
     No compression engine: the 16 Arm cores do LZ4 themselves at a
@@ -150,51 +71,26 @@ class BlueField3MiddleTier(MiddleTierServer):
         workers = spec.arm_cores if n_workers is None else n_workers
         if workers > spec.arm_cores:
             raise ValueError(f"BlueField-3 has {spec.arm_cores} Arm cores, asked for {workers}")
+        self._parse_time = spec.arm_parse_time
+        self._memory = (spec.device_memory_rate, spec.device_memory_lanes, "ddr")
+        self._port_rate = spec.port_rate
         super().__init__(sim, testbed, workers, address=address)
-
-    def _build(self) -> None:
-        spec = self.platform.bluefield3
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.device_memory_rate,
-            lanes=spec.device_memory_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.ddr",
-        )
-        self.port = NetworkPort(self.sim, rate=spec.port_rate, name=f"{self.address}.port")
-        endpoint = RoceEndpoint(
-            self.sim,
-            self.port,
-            self.address,
-            datapath=DeviceMemoryDatapath(self.device_memory),
-            spec=self.platform.network,
-        )
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint
 
     def _handle_write(
         self, worker_index: int, qp: QueuePair, message: Message
     ) -> typing.Generator:
-        spec = self.platform.bluefield3
-        payload = message.payload
-        if payload is None:
-            raise ValueError("write_request without payload")
-        yield self.sim.timeout(spec.arm_parse_time)
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload
-        else:
-            # Compression runs ON the Arm core: the worker is busy for
-            # the whole block (this is the §3.4 bottleneck).
-            yield self.device_memory.read(payload.size)
-            yield self.sim.timeout(payload.size / spec.per_core_compression_rate)
-            outgoing = compress_payload(payload)
-            yield self.device_memory.write(outgoing.size)
-        self._spawn_completion(qp, message, outgoing)
+        yield self.sim.timeout(self._parse_time)
+        # Compression runs ON the Arm core: the worker is busy for the
+        # whole block (this is the §3.4 bottleneck).
+        yield from self._compress_and_complete(worker_index, qp, message)
 
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        spec = self.platform.bluefield3
-        original = payload.original_size or payload.size
-        yield self.device_memory.read(payload.size)
+    def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
+        rate = self.platform.bluefield3.per_core_compression_rate
+        return core_stage(self.device_memory, payload.size / rate, payload, compress_payload)
+
+    def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
         # Arm decompression, ~7x faster than compression (§2.2.3).
-        yield self.sim.timeout(original / (spec.per_core_compression_rate * 7))
-        yield self.device_memory.write(original)
+        rate = self.platform.bluefield3.per_core_compression_rate
+        original = payload.original_size or payload.size
+        seconds = original / (rate * 7)
+        return core_stage(self.device_memory, seconds, payload, decompress_payload)

@@ -343,6 +343,37 @@ class TestEndToEndTraces:
         assert "read.unavailable" in text and "failed" in text
 
 
+    @pytest.mark.parametrize("tier_factory", TIER_FACTORIES, ids=TIER_IDS)
+    def test_storage_side_miss_marks_read_not_found(self, tier_factory):
+        """A replica that answers without a payload ends the read
+        ``not_found``, and the request's trace records the verdict."""
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = tier_factory(sim, testbed)
+        driver, locations = _write_then_locate(sim, tier, testbed)
+        # The tier maps LBA 100 to LBA 0's replicas, which never stored it.
+        tier._block_locations[(0, 100)] = locations
+
+        result = sim.run(until=driver.run_reads([100], concurrency=1))
+        sim.run()
+
+        assert result.failures == ((100, "not_found"),)
+        read_ids = [
+            tid for tid in collector.trace_ids
+            if collector.root(tid) is not None and collector.root(tid).name == "read_request"
+        ]
+        assert len(read_ids) == 1
+        spans = collector.trace(read_ids[0])
+        verdicts = [s for s in spans if s.name == "read.not_found"]
+        assert len(verdicts) == 1
+        assert verdicts[0].outcome == "failed"
+        assert [s.attrs["server"] for s in spans if s.name == "read.attempt"] == [
+            locations[0]
+        ]
+        assert collector.root(read_ids[0]).outcome == "failed"
+
+
 class TestTraceSession:
     def test_attaches_to_sims_created_inside_only(self):
         before = Simulator()
