@@ -8,10 +8,9 @@ world with :meth:`Simulator.run`.
 
 from __future__ import annotations
 
-import math
 import typing
 import weakref
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -72,9 +71,6 @@ class Simulator:
         # add, and tracked() filters dead refs on the (rare) read side.
         self._process_refs: list[weakref.ref] = []
         self._tracked: dict[str, weakref.WeakSet] = {}
-        # Shared fluid-window timeouts keyed by quantized fire time
-        # (see fluid_timeout); entries remove themselves on firing.
-        self._fluid: dict[float, Timeout] = {}
         # Observability attach points (see repro.telemetry.spans and
         # .registry): None means untraced, the common case — every
         # instrumentation site guards on that before doing any work.
@@ -103,73 +99,6 @@ class Simulator:
     def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
         """Create an event that fires `delay` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(
-        self, delays: typing.Iterable[float], value: typing.Any = None
-    ) -> list[Timeout]:
-        """Create one timeout per delay, scheduled in a single heap pass.
-
-        The schedule-many primitive for fan-out storms (replication
-        arms, cache-fill chunks, per-block completions): for large
-        batches the queue is extended and re-heapified once — O(queue) —
-        instead of paying one O(log queue) sift per event. Semantically
-        identical to ``[self.timeout(d, value) for d in delays]``,
-        including relative ordering (sequence numbers are assigned in
-        input order).
-        """
-        queue = self._queue
-        now = self._now
-        sequence = self._sequence
-        events = []
-        entries = []
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            event = Timeout.__new__(Timeout)
-            event.sim = self
-            event._name = ""
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event.delay = delay
-            events.append(event)
-            entries.append((now + delay, next(sequence), event))
-        # k pushes cost ~k*log2(n); one heapify costs ~n comparisons.
-        if len(entries) * max(1, len(queue).bit_length()) > len(queue):
-            queue.extend(entries)
-            heapify(queue)
-        else:
-            for entry in entries:
-                heappush(queue, entry)
-        return events
-
-    def fluid_timeout(self, delay: float, window: float, value: typing.Any = None) -> Timeout:
-        """A shared timeout, quantized *up* to the end of a `window` slot.
-
-        Every caller whose requested fire time (``now + delay``) lands in
-        the same window slot gets the *same* event object — one heap
-        entry for an entire storm of co-expiring waits — at the cost of
-        firing up to `window` late. Use only where the exact interleaving
-        of completions inside one window provably does not matter (e.g.
-        homogeneous fan-out arms all awaited together); anything that
-        feeds back into queueing decisions must use :meth:`timeout`.
-
-        The shared `value` is delivered to every waiter, so per-waiter
-        values are not supported; entries clean themselves out of the
-        bucket table when they fire.
-        """
-        if window <= 0:
-            raise SimulationError(f"fluid window must be positive, got {window!r}")
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        bucket = math.ceil((self._now + delay) / window) * window
-        event = self._fluid.get(bucket)
-        if event is None:
-            event = Timeout(self, bucket - self._now, value)
-            self._fluid[bucket] = event
-            event.callbacks.append(lambda _event, _key=bucket: self._fluid.pop(_key, None))
-        return event
 
     def process(self, generator: typing.Generator, name: str = "", daemon: bool = False) -> Process:
         """Wrap a generator as a running process; it starts at the current time.

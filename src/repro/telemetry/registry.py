@@ -24,7 +24,6 @@ registration — their bare collectors keep working exactly as before.
 from __future__ import annotations
 
 import math
-import os
 import typing
 
 from repro.telemetry.metrics import BandwidthMeter, Counter, Gauge, LatencyRecorder
@@ -340,29 +339,15 @@ class MetricsRegistry:
         and exits as soon as it finds the event queue empty after a
         tick, so a drain-mode ``sim.run()`` still terminates.
 
-        Idle-sim edge: with several *exact* samplers, each one's next
-        tick keeps the queue non-empty for the others, so none ever
-        takes the idle exit (a drain-mode run never terminates — use a
-        deadline). In fluid mode the tick is shared, so on an idle sim
-        samplers do take the exit (staggered over a tick or two, since
-        each exiting process's completion event briefly keeps the queue
-        non-empty for the next) and the sim drains. Under a running
-        workload — the case samplers exist for — both modes record
-        identical sample series.
+        Idle-sim edge: with several samplers, each one's next tick keeps
+        the queue non-empty for the others, so none ever takes the idle
+        exit (a drain-mode run never terminates — use a deadline).
         """
         if interval <= 0:
             raise ValueError(f"sample interval must be positive, got {interval!r}")
         if self._sampler_running:
             return
         self._sampler_running = True
-        # Fluid window mode (opt-in): samplers tick on shared window
-        # boundaries instead of each owning a timeout, so N same-period
-        # samplers cost one kernel event per tick instead of N. Exact
-        # interleaving between samplers provably doesn't matter here —
-        # each sample records ``sim.now`` and gauge reads are
-        # side-effect-free — which is precisely the contract
-        # :meth:`Simulator.fluid_timeout` requires.
-        fluid = os.environ.get("REPRO_FLUID_SAMPLER", "0") != "0"
 
         def _sampler() -> typing.Iterator:
             try:
@@ -372,10 +357,7 @@ class MetricsRegistry:
                     # forever (the next attach restarts us).
                     if not sim._queue:
                         return
-                    if fluid:
-                        yield sim.fluid_timeout(interval, window=interval)
-                    else:
-                        yield sim.timeout(interval)
+                    yield sim.timeout(interval)
             finally:
                 self._sampler_running = False
 
