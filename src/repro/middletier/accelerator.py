@@ -22,7 +22,7 @@ from repro.compression.model import FPGA_ENGINE, CompressorProfile
 from repro.hostmodel.memory import MemorySubsystem
 from repro.hostmodel.pcie import PcieLink
 from repro.middletier.cluster import Testbed
-from repro.middletier.stages import HostNicMiddleTier, codec_stage, engine_pass
+from repro.middletier.stages import HostNicMiddleTier, engine_stage
 from repro.net.message import Message, Payload, compress_payload, decompress_payload
 from repro.net.roce import QueuePair
 from repro.sim.resources import Resource
@@ -89,12 +89,13 @@ class AcceleratorMiddleTier(HostNicMiddleTier):
         if traffic.dram_read:
             yield self.memory.read(traffic.dram_read)
         return (
-            yield from codec_stage(
+            yield from engine_stage(
+                self.engine,
+                self._engine_profile,
                 payload,
                 operation,
                 self.fpga_pcie.dma_read,
                 self.fpga_pcie.dma_write,
-                engine_pass(self.engine, self._engine_profile, payload.size),
             )
         )
 

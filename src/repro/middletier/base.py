@@ -259,7 +259,7 @@ class MiddleTierServer(abc.ABC):
 
     def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
         """The design's compress stage: charge its resources and return
-        the compressed payload. Required by :meth:`_compress_or_forward`."""
+        the compressed payload. Required by :meth:`_compress_and_complete`."""
         raise NotImplementedError(f"{self.design_name} has no compress stage")
 
     def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
@@ -439,22 +439,20 @@ class MiddleTierServer(abc.ABC):
 
     # -- the write path: compress-or-forward, then complete -------------------
 
-    def _compress_or_forward(self, worker_index: int, message: Message) -> typing.Generator:
-        """The payload to replicate: raw for a latency-sensitive write
-        (Listing 1) or under brownout rung 3, else :meth:`_compress`'s."""
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            return message.payload
-        return (yield from self._compress(worker_index, message.payload))
-
     def _compress_and_complete(
         self, worker_index: int, qp: QueuePair, message: Message, host_posts: bool = False
     ) -> typing.Generator:
-        """Compress-or-forward the payload, then persist it and ack the VM.
+        """The compress-or-forward step, then persist the payload and ack.
 
-        With `host_posts` the host CPU polls the completion and posts the
-        replica sends and the VM reply; on a SmartNIC that is the card's.
+        The payload goes out raw for a latency-sensitive write (Listing 1)
+        or under brownout rung 3, else through the design's
+        :meth:`_compress`. With `host_posts` the host CPU polls the
+        completion and posts the replica sends and the VM reply; on a
+        SmartNIC that is the card's work.
         """
-        outgoing = yield from self._compress_or_forward(worker_index, message)
+        outgoing = message.payload
+        if not message.header.get("latency_sensitive") and self._compression_allowed():
+            outgoing = yield from self._compress(worker_index, outgoing)
         if host_posts:
             posts = self.platform.storage.replication + 1  # replicas + VM ack
             yield self.sim.timeout(self.platform.host.post_descriptor_time * posts)

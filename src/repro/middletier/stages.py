@@ -6,9 +6,9 @@ composes the same few stages (``docs/architecture.md`` maps every
 design onto them):
 
 - :func:`engine_pass` -- one block through a pipelined hardware engine;
-- :func:`codec_stage` -- read a block in over a memory or PCIe pass,
-  run the codec, write the result back; :func:`core_stage` is the
-  variant where general-purpose cores run the codec;
+- :func:`engine_stage` -- read a block in over a memory or PCIe pass,
+  run the codec on an engine, write the result back; :func:`core_stage`
+  is the same stage with general-purpose cores running the codec;
 - :class:`HostNicMiddleTier` -- the designs whose payloads land in host
   DRAM through a plain NIC (CPU-only, Acc);
 - :class:`DeviceMemoryDatapath` -- RoCE ingress and egress straight
@@ -66,21 +66,22 @@ def engine_pass(
         yield engine.sim.timeout(profile.setup_time)
 
 
-def codec_stage(
+def engine_stage(
+    engine: Resource,
+    profile: CompressorProfile,
     payload: Payload,
     operation: typing.Callable[[Payload], Payload],
     fetch: typing.Callable[[int], typing.Any],
     store: typing.Callable[[int], typing.Any],
-    work: typing.Generator,
 ) -> typing.Generator:
-    """Read `payload` in with `fetch`, run `work`, write the result out with `store`.
+    """Read `payload` in with `fetch`, stream it through `engine`, write
+    the result out with `store`; returns ``operation(payload)``.
 
     `fetch` and `store` take a byte count and return the event of a
-    memory or PCIe pass; `work` charges the compute, e.g. an
-    :func:`engine_pass`. Returns ``operation(payload)``.
+    memory or PCIe pass.
     """
     yield fetch(payload.size)
-    yield from work
+    yield from engine_pass(engine, profile, payload.size)
     result = operation(payload)
     yield store(result.size)
     return result
@@ -94,11 +95,11 @@ def core_stage(
 ) -> typing.Generator:
     """General-purpose cores run the codec for `seconds`, streaming the
     block from `memory` and writing the result back to it."""
-
-    def busy() -> typing.Generator:
-        yield memory.sim.timeout(seconds)
-
-    return codec_stage(payload, operation, memory.read, memory.write, busy())
+    yield memory.read(payload.size)
+    yield memory.sim.timeout(seconds)
+    result = operation(payload)
+    yield memory.write(result.size)
+    return result
 
 
 class HostNicMiddleTier(MiddleTierServer):
@@ -206,16 +207,17 @@ class DeviceMemoryMiddleTier(MiddleTierServer):
         self, payload: Payload, operation: typing.Callable[[Payload], Payload]
     ) -> typing.Generator:
         """Device-memory read, engine pass, device-memory write (§3.4's passes)."""
-        return codec_stage(
+        return engine_stage(
+            self.engine,
+            self._engine_profile,
             payload,
             operation,
             self.device_memory.read,
             self.device_memory.write,
-            engine_pass(self.engine, self._engine_profile, payload.size),
         )
 
     def _compress(self, worker_index: int, payload: Payload) -> typing.Generator:
         return (yield self.sim.process(self._engine_stage(payload, compress_payload)))
 
     def _decompress(self, worker_index: int, payload: Payload) -> typing.Generator:
-        return (yield from self._engine_stage(payload, decompress_payload))
+        return self._engine_stage(payload, decompress_payload)
